@@ -14,6 +14,8 @@
 //! * [`queue`] — the bounded admission queue; a full queue produces a
 //!   typed `overloaded` rejection with a `retry_after_ms` hint, never
 //!   unbounded buffering;
+//! * [`frontend`] — the connection front end the server and the router
+//!   share, with the bounds that keep hostile clients from holding it;
 //! * [`server`] — acceptor + connection workers + batching executors.
 //!   Admitted requests are grouped by
 //!   [`workload_fingerprint`](unet_core::workload_fingerprint) into
@@ -57,6 +59,7 @@
 #![deny(missing_docs)]
 
 pub mod client;
+pub mod frontend;
 pub mod loadgen;
 pub mod protocol;
 pub mod queue;

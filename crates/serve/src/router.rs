@@ -77,29 +77,26 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
+use crate::frontend::{self, Front, Handler, Names, ReqInfo, IDLE_POLL};
 use crate::protocol::{
     analyze_request_line, batch_item_value, batch_request_line, error_line, gen_trace_id,
-    metrics_request_line, overloaded_line, parse_request, parse_response, result_line,
-    simulate_request_line, ProtoVersion, Request, Response, SimulateReq,
+    metrics_request_line, parse_request, parse_response, result_line, simulate_request_line,
+    ProtoVersion, Request, Response, SimulateReq,
 };
-use crate::queue::BoundedQueue;
 use crate::ring::Ring;
-use crate::server::{read_line_patient, retry_after_hint, LineRead, IDLE_POLL};
 use unet_core::routers::Router as _;
 use unet_core::spec::parse_graph;
 use unet_core::{workload_fingerprint, Embedding};
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler};
+use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder};
 use unet_topology::par::default_threads;
 
 /// Router configuration (all fields except `backends` have serviceable
@@ -120,10 +117,11 @@ pub struct ShardConfig {
     pub backends: Vec<String>,
     /// Concurrent connections the router opens per backend (default 1).
     /// A forward beyond this bound waits for a slot instead of dialing:
-    /// a backend `unet serve` dedicates one connection worker to each
-    /// accepted connection for its lifetime, so dialing more connections
-    /// than the backend has workers would park requests on sockets no
-    /// worker will ever read — a deadlock, not a slowdown. Raise this to
+    /// a backend `unet serve` gives one connection worker to each
+    /// connection until it closes or yields it while idle, so dialing
+    /// more connections than the backend has workers would queue
+    /// requests behind pooled connections that must first go idle and
+    /// yield. Raise this to
     /// the backend's `--workers` for per-shard connection concurrency;
     /// `batch` requests already exploit backend executor parallelism
     /// over a single connection.
@@ -234,21 +232,52 @@ struct Backend {
 }
 
 struct RouterShared {
+    front: Front,
     backends: Vec<Backend>,
     ring: Ring,
-    recorder: Mutex<InMemoryRecorder>,
-    queue: BoundedQueue<TcpStream>,
-    shutdown: AtomicBool,
-    depth_seq: AtomicU64,
-    workers: usize,
     conn_limit: usize,
     eject_after: u32,
     max_backoff: Duration,
-    /// Tail-sampled per-request stage records, drained into the trace.
-    sampler: Mutex<TailSampler>,
-    /// Slowest request so far; its trace id rides the latency histogram's
-    /// `max` gauge as an exemplar.
-    latency_exemplar: Mutex<Option<(String, f64)>>,
+}
+
+impl Handler for RouterShared {
+    const NAMES: Names = Names {
+        role: "shard",
+        admitted: "shard.conns.admitted",
+        rejected: "shard.conns.rejected",
+        queue_depth: "shard.queue.depth",
+        completed: "shard.requests.completed",
+        too_long: "shard.lines.too_long",
+        abandoned: "shard.lines.abandoned",
+        idle_closed: "shard.conns.idle_closed",
+        requests_sampled: "shard.trace.requests_sampled",
+        requests_dropped: "shard.trace.requests_dropped",
+    };
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn handle(&self, line: &str) -> (String, ReqInfo) {
+        route_request(self, line)
+    }
+
+    /// The router's stage breakdown: one histogram per stage span
+    /// (recorder names are `'static`, so the fixed stage set maps to a
+    /// fixed metric set).
+    fn record(&self, rec: &mut InMemoryRecorder, stages: &[(&'static str, f64)]) {
+        for &(stage, ms) in stages {
+            let name = match stage {
+                "accept" => "shard.stage.accept_us",
+                "forward" => "shard.stage.forward_us",
+                "retry" => "shard.stage.retry_us",
+                "failover" => "shard.stage.failover_us",
+                "serialize" => "shard.stage.serialize_us",
+                _ => "shard.stage.other_us",
+            };
+            rec.histogram(name, (ms * 1e3) as u64);
+        }
+    }
 }
 
 /// A running shard router; construct with [`Router::start`], stop with
@@ -256,8 +285,6 @@ struct RouterShared {
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
 }
 
@@ -271,9 +298,6 @@ impl Router {
                 "a shard router needs at least one --backend address",
             ));
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.workers.max(1);
         let now = Instant::now();
         let backends: Vec<Backend> = cfg
@@ -289,51 +313,26 @@ impl Router {
             })
             .collect();
         let shared = Arc::new(RouterShared {
+            front: Front::new(cfg.queue_cap, workers, cfg.head_sample_permille),
             ring: Ring::new(backends.len()),
             backends,
-            recorder: Mutex::new(InMemoryRecorder::new()),
-            queue: BoundedQueue::new(cfg.queue_cap),
-            shutdown: AtomicBool::new(false),
-            depth_seq: AtomicU64::new(0),
-            workers,
             conn_limit: cfg.backend_conns.max(1),
             eject_after: cfg.eject_after.max(1),
             max_backoff: Duration::from_millis(cfg.max_backoff_ms.max(1)),
-            sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
-            latency_exemplar: Mutex::new(None),
         });
         {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
+            let mut rec = shared.front.rec();
             rec.gauge("shard.workers", workers as f64);
             rec.gauge("shard.queue.cap", cfg.queue_cap as f64);
             rec.gauge("shard.backends", shared.backends.len() as f64);
         }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let worker_handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(stream) = shared.queue.pop() {
-                        serve_router_connection(&shared, stream);
-                    }
-                })
-            })
-            .collect();
+        let addr = frontend::start(&cfg.addr, &shared, workers)?;
         let prober = {
             let shared = Arc::clone(&shared);
             let interval = Duration::from_millis(cfg.probe_interval_ms.max(1));
             std::thread::spawn(move || probe_loop(&shared, interval))
         };
-        Ok(Router {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            prober: Some(prober),
-        })
+        Ok(Router { addr, shared, prober: Some(prober) })
     }
 
     /// The bound address (resolve port 0 through this).
@@ -343,8 +342,7 @@ impl Router {
 
     /// Live counter snapshot.
     pub fn stats(&self) -> RouterStats {
-        let rec = self.shared.recorder.lock().expect("recorder poisoned");
-        router_stats_of(&rec, &self.shared)
+        router_stats_of(&self.shared.front.rec(), &self.shared)
     }
 
     /// Graceful drain: stop accepting, answer everything admitted or in
@@ -353,22 +351,8 @@ impl Router {
     /// (the `unet shard` CLI drains the shards it spawned itself).
     pub fn drain(mut self) -> RouterDrainReport {
         self.stop_threads();
-        let (requests, dropped) = {
-            let mut sampler = self.shared.sampler.lock().expect("sampler poisoned");
-            let dropped = sampler.dropped();
-            (sampler.drain(), dropped)
-        };
-        let mut rec = self.shared.recorder.lock().expect("recorder poisoned");
-        rec.counter("shard.trace.requests_sampled", requests.len() as u64);
-        rec.counter("shard.trace.requests_dropped", dropped);
-        let meta = RunMeta {
-            command: "shard".to_string(),
-            guest: "-".to_string(),
-            host: "-".to_string(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
+        let mut rec = self.shared.front.rec();
+        let trace = self.shared.front.drain_trace(&RouterShared::NAMES, &mut rec);
         RouterDrainReport {
             stats: router_stats_of(&rec, &self.shared),
             // Labeled `shard="router"` like the live aggregation, so drain
@@ -378,20 +362,14 @@ impl Router {
                 "router".to_string(),
                 router_exposition_of(&rec, &self.shared),
             )]),
-            trace: export_full(&rec, &meta, &[], &requests, None),
+            trace,
         }
     }
 
-    /// Join order matters: acceptor first (it feeds the queue), workers
-    /// next (they answer in-flight requests), prober last.
+    /// Join order matters: the front end first (its workers answer
+    /// in-flight requests), prober last.
     fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.front.stop();
         if let Some(h) = self.prober.take() {
             let _ = h.join();
         }
@@ -402,7 +380,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
         // router cannot leak a spinning acceptor or prober.
-        self.shared.queue.close();
         self.stop_threads();
     }
 }
@@ -430,123 +407,8 @@ fn router_exposition_of(rec: &InMemoryRecorder, shared: &RouterShared) -> String
         "shard.backends.healthy",
         shared.backends.iter().filter(|b| b.healthy.load(Ordering::SeqCst)).count() as f64,
     );
-    let exemplar = shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-    if let Some((trace_id, ms)) = exemplar {
-        reg.set_exemplar("serve.request.latency_ms.max", &trace_id, ms);
-    }
+    shared.front.expose_slowest(&mut reg);
     reg.expose()
-}
-
-/// The recorder histogram a stage span lands in (recorder names must be
-/// `'static`, so the fixed stage set maps to a fixed metric set).
-fn stage_metric(stage: &'static str) -> &'static str {
-    match stage {
-        "accept" => "shard.stage.accept_us",
-        "forward" => "shard.stage.forward_us",
-        "retry" => "shard.stage.retry_us",
-        "failover" => "shard.stage.failover_us",
-        "serialize" => "shard.stage.serialize_us",
-        _ => "shard.stage.other_us",
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &RouterShared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // Same small-line ping-pong as the backend server: Nagle
-                // plus delayed ACK would stall every follow-up request.
-                let _ = stream.set_nodelay(true);
-                admit(shared, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    shared.queue.close();
-}
-
-fn admit(shared: &RouterShared, stream: TcpStream) {
-    match shared.queue.try_push(stream) {
-        Ok(depth) => {
-            let seq = shared.depth_seq.fetch_add(1, Ordering::Relaxed);
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.counter("shard.conns.admitted", 1);
-            rec.sample("shard.queue.depth", seq, 0, depth as u64);
-        }
-        Err(mut stream) => {
-            let retry_after = {
-                let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                rec.counter("shard.conns.rejected", 1);
-                retry_after_hint(&rec, shared.queue.cap(), shared.workers)
-            };
-            let _ = writeln!(stream, "{}", overloaded_line(shared.queue.cap(), retry_after));
-            let _ = stream.flush();
-        }
-    }
-}
-
-fn serve_router_connection(shared: &RouterShared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match read_line_patient(&mut reader, &mut line, &shared.shutdown) {
-            LineRead::Line => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let started = Instant::now();
-                    let (response, mut info) = route_request(shared, trimmed);
-                    let write_started = Instant::now();
-                    let write_ok =
-                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
-                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
-                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
-                    {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                        rec.counter("shard.requests.completed", 1);
-                        // Same histogram name as the server so the shared
-                        // `retry_after_hint` shape applies at the router too.
-                        rec.histogram("serve.request.latency_ms", e2e_ms as u64);
-                        for &(stage, ms) in &info.stages {
-                            rec.histogram(stage_metric(stage), (ms * 1e3) as u64);
-                        }
-                    }
-                    {
-                        let mut ex = shared.latency_exemplar.lock().expect("exemplar poisoned");
-                        if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
-                            *ex = Some((info.trace_id.clone(), e2e_ms));
-                        }
-                    }
-                    let record = RequestRecord {
-                        trace_id: info.trace_id,
-                        kind: info.kind.to_string(),
-                        ok: info.ok,
-                        e2e_ms,
-                        sampled: SampleReason::Head,
-                        stages: info
-                            .stages
-                            .into_iter()
-                            .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
-                            .collect(),
-                    };
-                    shared.sampler.lock().expect("sampler poisoned").offer(record);
-                    if !write_ok {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            LineRead::Closed => return,
-        }
-    }
 }
 
 /// The [`SharedPlanCache`](unet_core::SharedPlanCache) key this spec's
@@ -642,7 +504,7 @@ fn record_failure(shared: &RouterShared, i: usize) {
         drop(backoff);
         // A dead backend's pooled connections are dead too.
         backend.conns.lock().expect("pool poisoned").idle.clear();
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.rec();
         rec.counter("shard.backends.ejected", 1);
     }
 }
@@ -655,7 +517,7 @@ fn record_success(shared: &RouterShared, i: usize) {
     backend.consecutive_failures.store(0, Ordering::SeqCst);
     if !backend.healthy.swap(true, Ordering::SeqCst) {
         backend.backoff.lock().expect("backoff poisoned").exp = 0;
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.rec();
         rec.counter("shard.backends.reinstated", 1);
     }
 }
@@ -680,10 +542,7 @@ fn forward_with_failover(
         Some(fp) => shared.ring.successors(fp),
         None => (0..shared.backends.len()).collect(),
     };
-    {
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
-        rec.counter("shard.requests.forwarded", 1);
-    }
+    shared.front.rec().counter("shard.requests.forwarded", 1);
     let mut last_overloaded: Option<String> = None;
     let mut attempts = 0u64;
     let (mut forward_ms, mut retry_ms, mut failover_ms) = (0.0f64, 0.0f64, 0.0f64);
@@ -713,7 +572,7 @@ fn forward_with_failover(
                 Ok(ForwardOutcome::Response(resp)) => {
                     record_success(shared, i);
                     if attempts > 1 {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+                        let mut rec = shared.front.rec();
                         rec.counter("shard.failovers", 1);
                         if last_overloaded.is_some() {
                             rec.counter("shard.overloads.absorbed", 1);
@@ -756,15 +615,6 @@ fn forward_with_failover(
     error_line(ver, "unavailable", "no backend shard answered (all ejected or unreachable)", id)
 }
 
-/// What [`route_request`] learned about one request, for the connection
-/// loop's trace record and stage histograms.
-struct RouteInfo {
-    trace_id: String,
-    kind: &'static str,
-    ok: bool,
-    stages: Vec<(&'static str, f64)>,
-}
-
 /// Dispatch one client line. Requests the router does not add value to
 /// (`analyze`, malformed lines, unsupported protocol versions) are
 /// forwarded verbatim so the backend produces the exact response a
@@ -775,7 +625,7 @@ struct RouteInfo {
 /// stage spans under the same id the router samples. `/1` and `/2` lines
 /// are forwarded byte-for-byte (adding a `trace` field would break the
 /// version echo), so the backend assigns its own id for those.
-fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
+fn route_request(shared: &RouterShared, line: &str) -> (String, ReqInfo) {
     let parse_started = Instant::now();
     let parsed = parse_request(line);
     let accept_ms = parse_started.elapsed().as_secs_f64() * 1e3;
@@ -829,7 +679,7 @@ fn route_request(shared: &RouterShared, line: &str) -> (String, RouteInfo) {
         }
     };
     let ok = matches!(parse_response(&response), Ok(Response::Result(_)));
-    (response, RouteInfo { trace_id, kind, ok, stages })
+    (response, ReqInfo { trace_id, kind, ok, stages })
 }
 
 /// Serve one `batch` by splitting it into per-home-shard sub-batches,
@@ -951,17 +801,9 @@ fn handle_metrics(shared: &RouterShared, ver: ProtoVersion, id: Option<u64>) -> 
             }
         }
     }
-    let own = {
-        let rec = shared.recorder.lock().expect("recorder poisoned");
-        router_exposition_of(&rec, shared)
-    };
-    sections.push(("router".to_string(), own));
-    result_line(
-        ver,
-        "metrics",
-        id,
-        vec![("exposition".to_string(), Value::Str(merge_expositions(&sections)))],
-    )
+    sections.push(("router".to_string(), router_exposition_of(&shared.front.rec(), shared)));
+    let exposition = Value::Str(merge_expositions(&sections));
+    result_line(ver, "metrics", id, vec![("exposition".to_string(), exposition)])
 }
 
 /// Merge per-shard Prometheus expositions into one: every series gains a
@@ -1032,15 +874,15 @@ pub fn merge_expositions(sections: &[(String, String)]) -> String {
 /// honest, and ejected backends are re-probed once their backoff expires.
 fn probe_loop(shared: &RouterShared, interval: Duration) {
     let probe = metrics_request_line(None, None);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.front.stopping() {
         // Sleep in short slices so drain is never blocked on a probe gap.
         let mut slept = Duration::ZERO;
-        while slept < interval && !shared.shutdown.load(Ordering::SeqCst) {
+        while slept < interval && !shared.front.stopping() {
             let slice = IDLE_POLL.min(interval - slept);
             std::thread::sleep(slice);
             slept += slice;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.front.stopping() {
             return;
         }
         for (i, backend) in shared.backends.iter().enumerate() {

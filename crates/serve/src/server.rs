@@ -2,18 +2,12 @@
 //!
 //! Architecture, front to back:
 //!
-//! * **Acceptor thread** — polls a non-blocking [`TcpListener`]. Every
-//!   accepted connection goes through [`BoundedQueue::try_push`]; a full
-//!   queue turns into an immediate typed `overloaded` response carrying a
-//!   `retry_after_ms` hint (explicit backpressure — the server never
-//!   buffers unboundedly). Queue depth at each admission flows through the
-//!   same [`Recorder::sample`] hook the routing loop uses for congestion
-//!   series.
-//! * **Connection workers** — `workers` plain threads popping connections
-//!   and reading requests line-by-line. Simulation work is never run on a
-//!   connection worker: each `simulate` (and each member of a `batch`)
-//!   becomes a `Job` on the central job queue, and the connection worker
-//!   blocks on the job's result slot.
+//! * **Front end** — the acceptor, bounded admission with typed
+//!   `overloaded` backpressure, and the connection workers live in
+//!   [`frontend`], which the shard router runs too. Simulation work is
+//!   never run on a connection worker: each `simulate` (and each member
+//!   of a `batch`) becomes a `Job` on the central job queue, and the
+//!   connection worker blocks on the job's result slot.
 //! * **Batching executors** — `workers` threads popping the job queue.
 //!   A claim takes the head job **plus every queued job with the same
 //!   [`workload_fingerprint`]** (up to `max_batch`, waiting up to
@@ -30,35 +24,28 @@
 //!   the engine checks it at phase boundaries (and while waiting on a
 //!   build slot), and the executor maps [`SimError::Cancelled`] to a
 //!   `deadline-exceeded` error.
-//! * **Graceful drain** — [`Server::drain`] stops the acceptor, lets the
-//!   connection queue empty, answers every request already in flight
-//!   (workers close idle connections via a short read timeout once
-//!   shutdown is flagged), then closes the job queue and joins the
-//!   executors last, so no blocked result slot is ever abandoned. No
-//!   admitted request is dropped.
+//! * **Graceful drain** — [`Server::drain`] stops the front end, which
+//!   answers every request already read (and waits on a partial line only
+//!   until its deadline), then closes the job queue and joins the
+//!   executors last, so no blocked result slot is ever abandoned.
 //! * **Request tracing** — every request gets a trace id at first ingress
 //!   (propagated from a `/3` client's trace context, else minted here) and
 //!   a stage-span breakdown: `accept` (parse), `queue_wait`,
 //!   `batch_linger`, `singleflight_wait`, `plan_build`, `simulate`,
-//!   `serialize`. `/3` responses carry `trace_id` and `stages` inline; a
-//!   [`TailSampler`] keeps every errored request, a deterministic head
-//!   sample, and the slowest tail as `request` records in the drain trace,
-//!   and the slowest request's trace id rides the latency histogram's
-//!   `max` gauge as an exemplar.
+//!   `serialize`. `/3` responses carry `trace_id` and `stages` inline,
+//!   and the front end tail-samples them into the drain trace.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::frontend::{self, Front, Handler, Names, ReqInfo};
 use crate::protocol::{
-    batch_item_value, error_line, gen_trace_id, overloaded_line, parse_request, result_line,
-    BatchReq, ParseError, ProtoVersion, Request, SimulateReq,
+    batch_item_value, error_line, gen_trace_id, parse_request, result_line, BatchReq, ParseError,
+    ProtoVersion, Request, SimulateReq,
 };
-use crate::queue::BoundedQueue;
 use unet_core::cancel::CancelToken;
 use unet_core::routers::Router as _;
 use unet_core::spec::parse_graph;
@@ -68,8 +55,7 @@ use unet_core::{
 };
 use unet_obs::json::Value;
 use unet_obs::tailsample::DEFAULT_HEAD_PERMILLE;
-use unet_obs::trace::{export_full, RequestRecord, RunMeta, SampleReason, StageSpan};
-use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TailSampler, TraceAnalyzer};
+use unet_obs::{InMemoryRecorder, MetricsRegistry, Recorder, TraceAnalyzer};
 use unet_topology::par::default_threads;
 use unet_topology::Graph;
 
@@ -330,21 +316,35 @@ impl JobQueue {
 }
 
 struct Shared {
+    front: Front,
     cache: SharedPlanCache,
-    recorder: Mutex<InMemoryRecorder>,
-    queue: BoundedQueue<TcpStream>,
     jobs: JobQueue,
-    shutdown: AtomicBool,
-    depth_seq: AtomicU64,
     default_deadline_ms: u64,
     max_batch: usize,
     linger_ms: u64,
-    workers: usize,
-    /// Tail-sampled per-request stage records, drained into the trace.
-    sampler: Mutex<TailSampler>,
-    /// The slowest request seen so far: its trace id rides the latency
-    /// histogram's `max` gauge as an exemplar in the exposition.
-    latency_exemplar: Mutex<Option<(String, f64)>>,
+}
+
+impl Handler for Shared {
+    const NAMES: Names = Names {
+        role: "serve",
+        admitted: "serve.conns.admitted",
+        rejected: "serve.conns.rejected",
+        queue_depth: "serve.queue.depth",
+        completed: "serve.requests.completed",
+        too_long: "serve.lines.too_long",
+        abandoned: "serve.lines.abandoned",
+        idle_closed: "serve.conns.idle_closed",
+        requests_sampled: "serve.trace.requests_sampled",
+        requests_dropped: "serve.trace.requests_dropped",
+    };
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn handle(&self, line: &str) -> (String, ReqInfo) {
+        handle_request(self, line)
+    }
 }
 
 /// A running server; construct with [`Server::start`], stop with
@@ -352,8 +352,6 @@ struct Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     executors: Vec<JoinHandle<()>>,
 }
 
@@ -361,58 +359,29 @@ impl Server {
     /// Bind, spawn the acceptor, connection workers, and batching
     /// executors, and return immediately.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
+            front: Front::new(cfg.queue_cap, workers, cfg.head_sample_permille),
             cache: SharedPlanCache::new(),
-            recorder: Mutex::new(InMemoryRecorder::new()),
-            queue: BoundedQueue::new(cfg.queue_cap),
             jobs: JobQueue::new(),
-            shutdown: AtomicBool::new(false),
-            depth_seq: AtomicU64::new(0),
             default_deadline_ms: cfg.default_deadline_ms,
             max_batch: cfg.max_batch.max(1),
             linger_ms: cfg.linger_ms,
-            workers,
-            sampler: Mutex::new(TailSampler::new(cfg.head_sample_permille)),
-            latency_exemplar: Mutex::new(None),
         });
         {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
+            let mut rec = shared.front.rec();
             rec.gauge("serve.workers", workers as f64);
             rec.gauge("serve.queue.cap", cfg.queue_cap as f64);
             rec.gauge("serve.max_batch", shared.max_batch as f64);
         }
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
-        let conn_workers = cfg.conn_workers.unwrap_or(workers).max(1);
-        let worker_handles = (0..conn_workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(stream) = shared.queue.pop() {
-                        serve_connection(&shared, stream);
-                    }
-                })
-            })
-            .collect();
-        let executor_handles = (0..workers)
+        let addr = frontend::start(&cfg.addr, &shared, cfg.conn_workers.unwrap_or(workers))?;
+        let executors = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || executor_loop(&shared))
             })
             .collect();
-        Ok(Server {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            workers: worker_handles,
-            executors: executor_handles,
-        })
+        Ok(Server { addr, shared, executors })
     }
 
     /// The bound address (resolve port 0 through this).
@@ -422,49 +391,27 @@ impl Server {
 
     /// Live counter snapshot.
     pub fn stats(&self) -> ServerStats {
-        let rec = self.shared.recorder.lock().expect("recorder poisoned");
-        stats_of(&rec, &self.shared.cache)
+        stats_of(&self.shared.front.rec(), &self.shared.cache)
     }
 
     /// Graceful drain: stop accepting, answer everything admitted or in
     /// flight, join all threads, and return the final metrics.
     pub fn drain(mut self) -> DrainReport {
         self.stop_threads();
-        let (requests, dropped) = {
-            let mut sampler = self.shared.sampler.lock().expect("sampler poisoned");
-            let dropped = sampler.dropped();
-            (sampler.drain(), dropped)
-        };
-        let exemplar = self.shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-        let mut rec = self.shared.recorder.lock().expect("recorder poisoned");
-        rec.counter("serve.trace.requests_sampled", requests.len() as u64);
-        rec.counter("serve.trace.requests_dropped", dropped);
-        let stats = stats_of(&rec, &self.shared.cache);
-        let meta = RunMeta {
-            command: "serve".to_string(),
-            guest: "-".to_string(),
-            host: "-".to_string(),
-            n: 0,
-            m: 0,
-            guest_steps: 0,
-        };
+        let mut rec = self.shared.front.rec();
+        let trace = self.shared.front.drain_trace(&Shared::NAMES, &mut rec);
         DrainReport {
-            stats,
-            exposition: exposition_of(&rec, &self.shared.cache, exemplar.as_ref()),
-            trace: export_full(&rec, &meta, &[], &requests, None),
+            stats: stats_of(&rec, &self.shared.cache),
+            exposition: exposition_of(&rec, &self.shared),
+            trace,
         }
     }
 
-    /// Join order matters: connection workers first (they feed jobs and
-    /// block on slots), executors last (they fill the slots).
+    /// Join order matters: the front end first (its connection workers
+    /// feed jobs and block on slots), executors last (they fill the
+    /// slots).
     fn stop_threads(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.front.stop();
         self.shared.jobs.close();
         for h in self.executors.drain(..) {
             let _ = h.join();
@@ -476,7 +423,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         // Not drained: still stop the threads so tests that merely start a
         // server cannot leak a spinning acceptor.
-        self.shared.queue.close();
         self.stop_threads();
     }
 }
@@ -492,197 +438,19 @@ fn stats_of(rec: &InMemoryRecorder, cache: &SharedPlanCache) -> ServerStats {
     }
 }
 
-fn exposition_of(
-    rec: &InMemoryRecorder,
-    cache: &SharedPlanCache,
-    exemplar: Option<&(String, f64)>,
-) -> String {
+fn exposition_of(rec: &InMemoryRecorder, shared: &Shared) -> String {
     let mut reg = MetricsRegistry::from_recorder(rec);
     // The cache atomics are authoritative process totals (per-request
     // recorder merges could lag mid-flight).
+    let cache = &shared.cache;
     reg.set_counter("serve.cache.shared.hits", cache.hits());
     reg.set_counter("serve.cache.shared.misses", cache.misses());
     reg.set_counter("serve.planbuild_singleflight_followers", cache.singleflight_followers());
     if let Some(ratio) = cache.hit_ratio() {
         reg.set_gauge("serve.cache.hit_ratio", ratio);
     }
-    if let Some((trace_id, ms)) = exemplar {
-        // The slowest request explains the histogram's max.
-        reg.set_exemplar("serve.request.latency_ms.max", trace_id, *ms);
-    }
+    shared.front.expose_slowest(&mut reg);
     reg.expose()
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // The protocol is a ping-pong of small lines; without
-                // nodelay, Nagle + delayed ACK stall every request after
-                // the first on a persistent connection by tens of ms.
-                let _ = stream.set_nodelay(true);
-                admit(shared, stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    shared.queue.close();
-}
-
-/// The `retry_after_ms` fallback before any request latency is measured.
-pub(crate) const RETRY_AFTER_FLOOR_MS: u64 = 100;
-
-/// Hint for a rejected client: the full queue must drain through `workers`
-/// parallel servers, each request costing about the measured mean latency.
-/// Shared with the shard router, which applies the same backpressure shape
-/// at its own admission queue.
-///
-/// Before the first request latency lands (the zero-sample startup
-/// window), the hint is the bare floor — multiplying the floor by the
-/// drain rounds would tell the very first rejected clients to back off
-/// for seconds based on no evidence at all. A non-finite mean (possible
-/// only if the histogram is ever fed garbage) takes the same path.
-pub(crate) fn retry_after_hint(rec: &InMemoryRecorder, depth: usize, workers: usize) -> u64 {
-    match rec.histogram_data("serve.request.latency_ms").and_then(|h| h.mean()) {
-        Some(mean) if mean.is_finite() => {
-            let rounds = depth.div_ceil(workers.max(1)).max(1);
-            ((mean * rounds as f64).ceil() as u64).max(1)
-        }
-        _ => RETRY_AFTER_FLOOR_MS,
-    }
-}
-
-fn admit(shared: &Shared, stream: TcpStream) {
-    match shared.queue.try_push(stream) {
-        Ok(depth) => {
-            let seq = shared.depth_seq.fetch_add(1, Ordering::Relaxed);
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.counter("serve.conns.admitted", 1);
-            rec.sample("serve.queue.depth", seq, 0, depth as u64);
-        }
-        Err(mut stream) => {
-            let retry_after = {
-                let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                rec.counter("serve.conns.rejected", 1);
-                retry_after_hint(&rec, shared.queue.cap(), shared.workers)
-            };
-            let _ = writeln!(stream, "{}", overloaded_line(shared.queue.cap(), retry_after));
-            let _ = stream.flush();
-        }
-    }
-}
-
-/// How long a worker waits on an idle connection before re-checking the
-/// shutdown flag. Bounds drain latency for open-but-quiet clients. The
-/// shard router's connection workers poll on the same cadence.
-pub(crate) const IDLE_POLL: Duration = Duration::from_millis(50);
-
-fn serve_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match read_line_patient(&mut reader, &mut line, &shared.shutdown) {
-            LineRead::Line => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let started = Instant::now();
-                    let (response, mut info) = handle_request(shared, trimmed);
-                    let write_started = Instant::now();
-                    let write_ok =
-                        writeln!(writer, "{response}").and_then(|_| writer.flush()).is_ok();
-                    info.stages.push(("serialize", write_started.elapsed().as_secs_f64() * 1e3));
-                    let e2e_ms = started.elapsed().as_secs_f64() * 1e3;
-                    {
-                        let mut rec = shared.recorder.lock().expect("recorder poisoned");
-                        rec.counter("serve.requests.completed", 1);
-                        rec.histogram("serve.request.latency_ms", e2e_ms as u64);
-                    }
-                    {
-                        let mut ex = shared.latency_exemplar.lock().expect("exemplar poisoned");
-                        if ex.as_ref().is_none_or(|(_, ms)| e2e_ms >= *ms) {
-                            *ex = Some((info.trace_id.clone(), e2e_ms));
-                        }
-                    }
-                    let record = RequestRecord {
-                        trace_id: info.trace_id,
-                        kind: info.kind.to_string(),
-                        ok: info.ok,
-                        e2e_ms,
-                        sampled: SampleReason::Head,
-                        stages: info
-                            .stages
-                            .into_iter()
-                            .map(|(stage, ms)| StageSpan { stage: stage.to_string(), ms })
-                            .collect(),
-                    };
-                    shared.sampler.lock().expect("sampler poisoned").offer(record);
-                    if !write_ok {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            LineRead::Closed => return,
-        }
-    }
-}
-
-pub(crate) enum LineRead {
-    Line,
-    Closed,
-}
-
-/// Read one line, treating read timeouts as "check shutdown, keep waiting".
-/// A timeout mid-line keeps the partial data in `buf`, so slow writers are
-/// never corrupted; an EOF (or a drain while idle) closes the connection.
-/// Shared with the shard router's connection workers.
-pub(crate) fn read_line_patient<R: Read>(
-    reader: &mut BufReader<R>,
-    buf: &mut String,
-    shutdown: &AtomicBool,
-) -> LineRead {
-    loop {
-        match reader.read_line(buf) {
-            Ok(0) => return LineRead::Closed,
-            Ok(_) => {
-                if buf.ends_with('\n') {
-                    return LineRead::Line;
-                }
-                // EOF after a partial line: serve it, next read sees EOF.
-                return if buf.is_empty() { LineRead::Closed } else { LineRead::Line };
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
-                    // Idle connection during drain: close it. A partial
-                    // line means a request is mid-send; keep waiting so
-                    // drain never drops an in-flight request.
-                    return LineRead::Closed;
-                }
-            }
-            Err(_) => return LineRead::Closed,
-        }
-    }
-}
-
-/// What one handled request looked like, for the request-span record its
-/// connection worker offers to the tail sampler.
-struct ReqInfo {
-    trace_id: String,
-    kind: &'static str,
-    ok: bool,
-    stages: Vec<(&'static str, f64)>,
 }
 
 /// The wire form of a stage-span list: `{"queue_wait":1.5,...}`.
@@ -767,19 +535,8 @@ fn handle_request(shared: &Shared, line: &str) -> (String, ReqInfo) {
         }
         Request::Analyze { trace, id } => handle_analyze(ver, &trace, id),
         Request::Metrics { id } => {
-            let exemplar = shared.latency_exemplar.lock().expect("exemplar poisoned").clone();
-            let rec = shared.recorder.lock().expect("recorder poisoned");
-            let exposition = exposition_of(&rec, &shared.cache, exemplar.as_ref());
-            drop(rec);
-            (
-                result_line(
-                    ver,
-                    "metrics",
-                    id,
-                    vec![("exposition".to_string(), Value::Str(exposition))],
-                ),
-                true,
-            )
+            let exposition = Value::Str(exposition_of(&shared.front.rec(), shared));
+            (result_line(ver, "metrics", id, vec![("exposition".to_string(), exposition)]), true)
         }
     };
     (response, ReqInfo { trace_id, kind, ok, stages })
@@ -914,10 +671,7 @@ fn executor_loop(shared: &Shared) {
             linger_ms = linger_started.elapsed().as_secs_f64() * 1e3;
         }
         let g = group.len();
-        {
-            let mut rec = shared.recorder.lock().expect("recorder poisoned");
-            rec.histogram("serve.batch.size", g as u64);
-        }
+        shared.front.rec().histogram("serve.batch.size", g as u64);
         let cold = !shared.cache.contains(group[0].fingerprint);
         let mut rest: Vec<Job> = group.split_off(1);
         for job in &mut rest {
@@ -995,7 +749,7 @@ fn simulate_outcome(shared: &Shared, job: &Job) -> (SlotOutcome, Vec<(&'static s
     // Fold the request's engine counters into the server-level registry
     // (recorder counters accumulate, so sim.* become process totals).
     {
-        let mut rec = shared.recorder.lock().expect("recorder poisoned");
+        let mut rec = shared.front.rec();
         for (name, v) in local.counters() {
             rec.counter(name, v);
         }
@@ -1054,36 +808,4 @@ fn handle_analyze(ver: ProtoVersion, trace: &[String], id: Option<u64>) -> (Stri
         ],
     );
     (line, true)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression: before any request latency lands, the hint used to be
-    /// the 100 ms floor *multiplied by the drain rounds* — the very first
-    /// rejected clients were told to back off for seconds based on no
-    /// measurement at all. The zero-sample window now reports the bare
-    /// floor.
-    #[test]
-    fn retry_after_hint_startup_window_reports_the_bare_floor() {
-        let rec = InMemoryRecorder::new();
-        assert_eq!(retry_after_hint(&rec, 64, 2), RETRY_AFTER_FLOOR_MS);
-        assert_eq!(retry_after_hint(&rec, 1024, 1), RETRY_AFTER_FLOOR_MS);
-        assert_eq!(retry_after_hint(&rec, 0, 4), RETRY_AFTER_FLOOR_MS);
-    }
-
-    #[test]
-    fn retry_after_hint_scales_with_measured_latency_and_depth() {
-        let mut rec = InMemoryRecorder::new();
-        rec.histogram("serve.request.latency_ms", 10);
-        // 8 queued through 2 workers = 4 rounds of ~10 ms each.
-        assert_eq!(retry_after_hint(&rec, 8, 2), 40);
-        // Depth 0 still suggests one round.
-        assert_eq!(retry_after_hint(&rec, 0, 2), 10);
-        // Sub-millisecond means still hint at least 1 ms.
-        let mut fast = InMemoryRecorder::new();
-        fast.histogram("serve.request.latency_ms", 0);
-        assert_eq!(retry_after_hint(&fast, 4, 4), 1);
-    }
 }
